@@ -145,21 +145,14 @@ func (f *Fleet) ServeConn(pc net.PacketConn) error {
 // (zero before Serve/ServeConn) — the fleet-side mirror of
 // Player.Snapshot.
 func (f *Fleet) Snapshot() FleetSnapshot {
-	return FleetSnapshot{FleetStats: f.Stats()}
-}
-
-// Stats returns a fleet snapshot (zero before Serve/ServeConn).
-//
-// Deprecated: read Snapshot().FleetStats. Kept as a thin accessor.
-func (f *Fleet) Stats() FleetStats {
 	f.mu.Lock()
 	mgr := f.mgr
 	f.mu.Unlock()
 	if mgr == nil {
-		return FleetStats{}
+		return FleetSnapshot{}
 	}
 	s := mgr.Stats()
-	return FleetStats{
+	return FleetSnapshot{FleetStats: FleetStats{
 		Sessions:        s.Sessions,
 		PeakSessions:    s.PeakSessions,
 		Admitted:        s.Admitted,
@@ -178,7 +171,7 @@ func (f *Fleet) Stats() FleetStats {
 
 		FrameRate:         s.FrameRate,
 		ForecastFrameRate: s.ForecastFrameRate,
-	}
+	}}
 }
 
 // Close shuts the fleet down — listener, every session, timer wheel —

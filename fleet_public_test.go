@@ -52,7 +52,7 @@ func TestFleetServesTwoPlayersOverUDP(t *testing.T) {
 		}
 	}
 
-	st := fl.Stats()
+	st := fl.Snapshot().FleetStats
 	if st.Sessions != 2 || st.Admitted != 2 {
 		t.Fatalf("sessions=%d admitted=%d, want 2/2", st.Sessions, st.Admitted)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime/debug"
 	"testing"
 
@@ -31,12 +32,25 @@ func appendDataPkt(dst []byte, seq uint32, payload []byte) []byte {
 // ACK processing — must not allocate at all. The path under test is the
 // real server+rudp stack: rudp delivery into core.Server.Handle and the
 // reply back out through rudp.Conn.Send, exactly the per-message cycle
-// serveSync and the fleet's runSession drive.
+// Serve and the fleet's runSession drive.
+//
+// It runs at an explicit degree of 1 (the serial codec and raster path)
+// and 2 (the parallel.Do fan-out). The default degree follows the CPU
+// count, so only an explicit degree of 2 reaches the parallel path on a
+// 1-CPU host.
 func TestDownlinkServeZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts the race runtime's shadow allocations; the gate runs in the non-race pass")
 	}
-	srv, err := NewServer(ServerConfig{Width: 64, Height: 48, PipelineDepth: -1})
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			testDownlinkServeZeroAlloc(t, par)
+		})
+	}
+}
+
+func testDownlinkServeZeroAlloc(t *testing.T, parallelism int) {
+	srv, err := NewServer(ServerConfig{Width: 64, Height: 48, Parallelism: parallelism})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +121,7 @@ func TestDownlinkServeZeroAllocSteadyState(t *testing.T) {
 			conn.Inject(pktBuf)
 		}
 
-		// Serve: the per-message cycle of serveSync / fleet.runSession.
+		// Serve: the per-message cycle of Serve / fleet.runSession.
 		got, err := conn.Recv(0)
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +136,7 @@ func TestDownlinkServeZeroAllocSteadyState(t *testing.T) {
 		if err := conn.Send(reply); err != nil {
 			t.Fatal(err)
 		}
-		releaseMsg(conn, got)
+		ReleaseMsg(conn, got)
 
 		// Drain the send window so pending slots recycle.
 		ackAllSent(conn, ackPkt)

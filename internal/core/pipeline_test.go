@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -31,88 +30,82 @@ func servePipe(tb testing.TB, srv *Server) (*rudp.Conn, func()) {
 	}
 }
 
-// TestServePipelinedMatchesSync: the overlapped serve loop must produce
-// byte-identical replies, in the same order, as the synchronous one —
-// the stage-overlap analogue of the codec determinism property.
-func TestServePipelinedMatchesSync(t *testing.T) {
+// TestServeMatchesHandle: Serve with several requests in flight must
+// return replies in request order, byte-identical to driving Handle
+// directly on a fresh Server — the serve loop adds transport, never
+// behaviour.
+func TestServeMatchesHandle(t *testing.T) {
 	const frames = 8
-	collect := func(depth int) [][]byte {
-		srv, err := NewServer(ServerConfig{Width: testW, Height: testH, PipelineDepth: depth})
+	newSrv := func() *Server {
+		srv, err := NewServer(ServerConfig{Width: testW, Height: testH})
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn, join := servePipe(t, srv)
-		defer join()
-		builder := newBatchBuilder(t, "G5", 3)
-		var replies [][]byte
-		for i := 0; i < frames; i++ {
-			if err := conn.Send(builder.next(t)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < frames; i++ {
-			msg, err := conn.Recv(5 * time.Second)
-			if err != nil {
-				t.Fatalf("reply %d: %v", i, err)
-			}
-			replies = append(replies, msg)
-		}
-		return replies
+		return srv
 	}
-	want := collect(-1) // synchronous reference
-	got := collect(2)   // overlapped
+	builder := newBatchBuilder(t, "G5", 3)
+	msgs := make([][]byte, frames)
+	for i := range msgs {
+		msgs[i] = builder.next(t)
+	}
+
+	ref := newSrv()
+	want := make([][]byte, frames)
+	for i, msg := range msgs {
+		reply, err := ref.Handle(msg)
+		if err != nil || reply == nil {
+			t.Fatalf("Handle frame %d: reply %v, err %v", i, reply != nil, err)
+		}
+		want[i] = append([]byte(nil), reply...)
+	}
+
+	conn, join := servePipe(t, newSrv())
+	defer join()
+	for _, msg := range msgs {
+		if err := conn.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := range want {
-		if !bytes.Equal(want[i], got[i]) {
-			t.Fatalf("reply %d: pipelined serve diverged from sync (%dB vs %dB)",
-				i, len(got[i]), len(want[i]))
+		got, err := conn.Recv(5 * time.Second)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("reply %d: Serve diverged from Handle (%dB vs %dB)",
+				i, len(got), len(want[i]))
 		}
 	}
 }
 
-// TestServePipelineConfigDepth checks the depth resolution rules.
-func TestServePipelineConfigDepth(t *testing.T) {
-	cases := []struct{ in, want int }{{-1, 0}, {0, DefaultPipelineDepth}, {3, 3}}
-	for _, tc := range cases {
-		if got := (ServerConfig{PipelineDepth: tc.in}).pipelineDepth(); got != tc.want {
-			t.Errorf("server pipelineDepth(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-		if got := (ClientConfig{PipelineDepth: tc.in}).pipelineDepth(); got != tc.want {
-			t.Errorf("client pipelineDepth(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
-// BenchmarkFramePipeline measures end-to-end frame round trips with the
-// render/encode stages serialized vs overlapped, keeping two requests
-// in flight so the server-side pipeline can actually fill.
+// BenchmarkFramePipeline measures end-to-end frame round trips through
+// Serve, keeping two requests in flight so the serve loop never idles
+// on a round trip. Teardown (which waits out the server's idle timeout)
+// is outside the timed region.
 func BenchmarkFramePipeline(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		depth int
-	}{{"sync", -1}, {"overlap", 0}} {
-		b.Run(fmt.Sprintf("640x360/%s", mode.name), func(b *testing.B) {
-			srv, err := NewServer(ServerConfig{Width: 640, Height: 360, PipelineDepth: mode.depth})
-			if err != nil {
-				b.Fatal(err)
-			}
-			conn, join := servePipe(b, srv)
-			defer join()
-			builder := newBatchBuilder(b, "G5", 1)
-			const ahead = 2
-			b.SetBytes(640 * 360 * 4)
-			b.ResetTimer()
-			sent := 0
-			for i := 0; i < b.N; i++ {
-				for sent < b.N && sent-i < ahead {
-					if err := conn.Send(builder.next(b)); err != nil {
-						b.Fatal(err)
-					}
-					sent++
-				}
-				if _, err := conn.Recv(10 * time.Second); err != nil {
+	b.Run("640x360", func(b *testing.B) {
+		srv, err := NewServer(ServerConfig{Width: 640, Height: 360})
+		if err != nil {
+			b.Fatal(err)
+		}
+		conn, join := servePipe(b, srv)
+		defer join()
+		builder := newBatchBuilder(b, "G5", 1)
+		const ahead = 2
+		b.SetBytes(640 * 360 * 4)
+		b.ResetTimer()
+		sent := 0
+		for i := 0; i < b.N; i++ {
+			for sent < b.N && sent-i < ahead {
+				if err := conn.Send(builder.next(b)); err != nil {
 					b.Fatal(err)
 				}
+				sent++
 			}
-		})
-	}
+			if _, err := conn.Recv(10 * time.Second); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+	})
 }

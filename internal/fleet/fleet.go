@@ -192,7 +192,6 @@ func (m *Manager) newSessionServer() (*core.Server, error) {
 		CacheBytes:      m.cfg.CacheBytes,
 		Parallelism:     m.cfg.Parallelism,
 		DiffThreshold:   m.cfg.DiffThreshold,
-		PipelineDepth:   -1, // sessions are serial; overlap comes from the fleet
 		AdaptiveQuality: m.cfg.AdaptiveQuality,
 		QualityFloor:    m.cfg.QualityFloor,
 	})
@@ -556,7 +555,7 @@ func (m *Manager) runSession(s *session) {
 			return // protocol violation: drop the session, not the fleet
 		}
 		// Sample the transport for the adaptive-quality ladder (no-op
-		// unless configured). The single-session serve loops do this
+		// unless configured). The single-session serve loop does this
 		// internally; this loop drives the server through Handle, so the
 		// sampling hook is explicit here.
 		s.srv.AdaptQuality(s.conn)
@@ -566,11 +565,7 @@ func (m *Manager) runSession(s *session) {
 				return
 			}
 		}
-		// Recycle the delivered message; bootstrap payloads stay out of
-		// the pool because the restored session state aliases them.
-		if len(msg) > 0 && msg[0] != core.MsgBootstrap {
-			s.conn.Release(msg)
-		}
+		core.ReleaseMsg(s.conn, msg)
 	}
 }
 

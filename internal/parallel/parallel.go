@@ -1,10 +1,10 @@
 // Package parallel provides the data plane's shared worker pool: a
 // persistent set of goroutines, sized by runtime.NumCPU at first use,
 // that fan contiguous index spans out across cores. The turbo codec
-// parallelizes over tiles, the rasterizer over scanline bands, and the
-// core pipeline stages submit from their own goroutines — all against
-// this one pool, so total data-plane concurrency stays bounded by the
-// machine rather than by the number of live codecs.
+// parallelizes over tiles and the rasterizer over scanline bands, each
+// submitting from its own session's goroutine — all against this one
+// pool, so total data-plane concurrency stays bounded by the machine
+// rather than by the number of live codecs.
 //
 // Determinism contract: Do only decides WHERE a span executes, never
 // what it computes. Callers keep output deterministic by writing each
@@ -21,19 +21,56 @@ import (
 var (
 	startOnce sync.Once
 	poolSize  int
-	tasks     chan func()
+	tasks     chan *span
+	groups    = sync.Pool{New: func() any { return new(group) }}
 )
+
+// group is one Do call's join state. Groups are pooled and their span
+// slots reused, so a steady-state Do allocates nothing: the task channel
+// carries pointers into the group's span slice, never fresh closures.
+type group struct {
+	wg       sync.WaitGroup
+	fn       func(lo, hi int)
+	panicMu  sync.Mutex
+	panicked bool
+	panicVal any
+	spans    []span
+}
+
+// span is one contiguous index range of a group's work.
+type span struct {
+	g      *group
+	lo, hi int
+}
+
+// run executes the span, recording the first panic on its group.
+func (sp *span) run() {
+	g := sp.g
+	defer g.wg.Done()
+	defer g.recoverSpan()
+	g.fn(sp.lo, sp.hi)
+}
+
+func (g *group) recoverSpan() {
+	if r := recover(); r != nil {
+		g.panicMu.Lock()
+		if !g.panicked {
+			g.panicked, g.panicVal = true, r
+		}
+		g.panicMu.Unlock()
+	}
+}
 
 // start spins the persistent workers up. They park on the task channel
 // for the life of the process; the pool is never torn down, exactly
 // like the runtime's own background workers.
 func start() {
 	poolSize = runtime.NumCPU()
-	tasks = make(chan func(), 4*poolSize)
+	tasks = make(chan *span, 4*poolSize)
 	for i := 0; i < poolSize; i++ {
 		go func() {
-			for fn := range tasks {
-				fn()
+			for sp := range tasks {
+				sp.run()
 			}
 		}()
 	}
@@ -82,49 +119,39 @@ func Do(degree, n int, fn func(lo, hi int)) {
 		spans = n
 	}
 
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked bool
-		panicVal any
-	)
-	run := func(lo, hi int) {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				panicMu.Lock()
-				if !panicked {
-					panicked, panicVal = true, r
-				}
-				panicMu.Unlock()
-			}
-		}()
-		fn(lo, hi)
+	g := groups.Get().(*group)
+	g.fn = fn
+	if cap(g.spans) < spans {
+		g.spans = make([]span, spans)
 	}
-
-	wg.Add(spans)
+	g.spans = g.spans[:spans]
+	g.wg.Add(spans)
 	q, r := n/spans, n%spans
 	lo := 0
-	for i := 0; i < spans; i++ {
+	for i := range g.spans {
 		hi := lo + q
 		if i < r {
 			hi++
 		}
-		l, h := lo, hi
+		sp := &g.spans[i]
+		*sp = span{g: g, lo: lo, hi: hi}
 		if i == spans-1 {
 			// The submitter always works the last span itself.
-			run(l, h)
+			sp.run()
 		} else {
 			select {
-			case tasks <- func() { run(l, h) }:
+			case tasks <- sp:
 			default:
 				// Pool backlogged: run inline rather than block.
-				run(l, h)
+				sp.run()
 			}
 		}
 		lo = hi
 	}
-	wg.Wait()
+	g.wg.Wait()
+	panicked, panicVal := g.panicked, g.panicVal
+	g.fn, g.panicked, g.panicVal = nil, false, nil
+	groups.Put(g)
 	if panicked {
 		panic(panicVal)
 	}

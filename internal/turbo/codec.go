@@ -59,6 +59,13 @@ type Encoder struct {
 	par     int
 	tileBuf [][]byte // per-tile encoded output, reused across frames
 	tileOn  []bool   // per-tile "shipped" flags, reused across frames
+	// tileSpan is encodeTileSpan bound once at construction, so each
+	// parallel encode hands parallel.Do the same func value instead of
+	// a fresh capturing closure; span* carry that encode's inputs.
+	tileSpan  func(lo, hi int)
+	spanFrame []byte
+	spanKey   bool
+	spanTW    int
 
 	// Stats accumulate for the traffic experiments.
 	Stats EncoderStats
@@ -82,13 +89,15 @@ func NewEncoder(w, h, quality int) *Encoder {
 		panic(fmt.Sprintf("turbo: encoder size %dx%d", w, h))
 	}
 	quality = clampQuality(quality)
-	return &Encoder{
+	e := &Encoder{
 		w: w, h: h,
 		quality: quality,
 		qz:      buildQuantizers(quality),
 		thresh:  DefaultDiffThreshold,
 		prev:    make([]byte, w*h*4),
 	}
+	e.tileSpan = e.encodeTileSpan
+	return e
 }
 
 // SetDiffThreshold overrides the changed-tile sensitivity. Zero makes
@@ -200,27 +209,33 @@ func (e *Encoder) encodeTilesParallel(out []byte, frame []byte, key bool, tw, th
 		e.tileBuf = make([][]byte, n)
 		e.tileOn = make([]bool, n)
 	}
-	tileBuf, tileOn := e.tileBuf[:n], e.tileOn[:n]
-	parallel.Do(e.par, n, func(lo, hi int) {
-		var yBlk, cbBlk, crBlk [blockSize * blockSize]int32
-		for t := lo; t < hi; t++ {
-			tx, ty := t%tw, t/tw
-			if !key && !e.tileChanged(frame, tx, ty) {
-				tileOn[t] = false
-				continue
-			}
-			tileOn[t] = true
-			tileBuf[t] = e.encodeTileInto(tileBuf[t][:0], frame, tx, ty, tw, &yBlk, &cbBlk, &crBlk)
-		}
-	})
+	e.spanFrame, e.spanKey, e.spanTW = frame, key, tw
+	parallel.Do(e.par, n, e.tileSpan)
+	e.spanFrame = nil
 	var sent uint32
 	for t := 0; t < n; t++ {
-		if tileOn[t] {
-			out = append(out, tileBuf[t]...)
+		if e.tileOn[t] {
+			out = append(out, e.tileBuf[t]...)
 			sent++
 		}
 	}
 	return out, sent
+}
+
+// encodeTileSpan encodes tiles [lo, hi) of the frame set up by
+// encodeTilesParallel into their tileBuf/tileOn slots.
+func (e *Encoder) encodeTileSpan(lo, hi int) {
+	var yBlk, cbBlk, crBlk [blockSize * blockSize]int32
+	frame, tw := e.spanFrame, e.spanTW
+	for t := lo; t < hi; t++ {
+		tx, ty := t%tw, t/tw
+		if !e.spanKey && !e.tileChanged(frame, tx, ty) {
+			e.tileOn[t] = false
+			continue
+		}
+		e.tileOn[t] = true
+		e.tileBuf[t] = e.encodeTileInto(e.tileBuf[t][:0], frame, tx, ty, tw, &yBlk, &cbBlk, &crBlk)
+	}
 }
 
 // tileChanged compares the frame tile against the reconstruction using

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Data-plane benchmark sweep: tile-parallel turbo encode/decode, band-
-# parallel rasterization, and the pipelined (render||encode) frame loop,
-# each across worker degrees {1, 2, 4, NumCPU}. Results land in
+# Data-plane benchmark sweep: tile-parallel turbo encode/decode and band-
+# parallel rasterization across worker degrees {1, 2, 4, NumCPU}, plus
+# one end-to-end frame round trip through the serve loop. Results land in
 # BENCH_dataplane.json with par=1-relative speedups and the host's CPU
 # count (the speedups only mean something on a multicore machine).
 #

@@ -7,9 +7,10 @@ import (
 	"github.com/gbooster/gbooster/internal/rudp"
 )
 
-// TestSnapshotEquivalence proves the unified Snapshot agrees with the
-// five legacy per-feature getters on a quiesced session: same counter
-// blocks, same device and transport views.
+// TestSnapshotEquivalence proves one Snapshot of a quiesced session
+// carries every block consistently: the counters match the frames
+// played, each attached device has its transport view, and the
+// latency accumulators StepFrame feeds are live.
 func TestSnapshotEquivalence(t *testing.T) {
 	const w, h = 64, 48
 	player, err := NewPlayer(PlayerConfig{Workload: "G6", Width: w, Height: h, Seed: 7})
@@ -35,42 +36,15 @@ func TestSnapshotEquivalence(t *testing.T) {
 		}
 	}
 
-	// The session is quiesced (no frame in flight), so a snapshot and
-	// the legacy getters must read identical state.
 	s := player.Snapshot()
-	if got := player.Stats(); got != s.PlayerStats {
-		t.Errorf("Stats() = %+v\nSnapshot().PlayerStats = %+v", got, s.PlayerStats)
+	if s.FramesSent != 8 || s.FramesShown != 8 {
+		t.Errorf("PlayerStats sent=%d shown=%d, want 8/8", s.FramesSent, s.FramesShown)
 	}
-	if got := player.FailoverStats(); got != s.FailoverStats {
-		t.Errorf("FailoverStats() = %+v\nSnapshot().FailoverStats = %+v", got, s.FailoverStats)
-	}
-	if got := player.HandoffStats(); got != s.HandoffStats {
-		t.Errorf("HandoffStats() = %+v\nSnapshot().HandoffStats = %+v", got, s.HandoffStats)
-	}
-	devs := player.DeviceStates()
-	if len(devs) != len(s.Devices) {
-		t.Fatalf("DeviceStates() len %d != Snapshot().Devices len %d", len(devs), len(s.Devices))
-	}
-	for i := range devs {
-		if devs[i] != s.Devices[i] {
-			t.Errorf("device %d: %+v != %+v", i, devs[i], s.Devices[i])
-		}
-	}
-	trs := player.TransportStats()
-	if len(trs) != len(s.Transports) {
-		t.Fatalf("TransportStats() len %d != Snapshot().Transports len %d", len(trs), len(s.Transports))
-	}
-	for i := range trs {
-		// SRTT/RTO keep moving with acks even when quiesced — compare
-		// the identity and counter fields, which are stable.
-		if trs[i].Service != s.Transports[i].Service ||
-			trs[i].WindowLimit != s.Transports[i].WindowLimit ||
-			trs[i].DataSent < s.Transports[i].DataSent {
-			t.Errorf("transport %d: %+v != %+v", i, trs[i], s.Transports[i])
-		}
+	if len(s.Devices) != 1 || len(s.Transports) != 1 {
+		t.Fatalf("Devices=%d Transports=%d, want one each", len(s.Devices), len(s.Transports))
 	}
 
-	// The snapshot-only extras must be live: session age, and the frame
+	// The session-level extras must be live: session age, and the frame
 	// latency StepFrame accumulated.
 	if s.Elapsed <= 0 {
 		t.Errorf("Elapsed = %v, want > 0", s.Elapsed)
@@ -92,18 +66,15 @@ func TestSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestFleetSnapshotEquivalence proves Fleet.Snapshot mirrors
-// Fleet.Stats.
+// TestFleetSnapshotEquivalence proves an unserved fleet's snapshot
+// reads zero.
 func TestFleetSnapshotEquivalence(t *testing.T) {
 	fl, err := NewFleet(FleetConfig{Width: 32, Height: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fl.Close()
-	// Before serving both must read zero.
-	if fl.Snapshot().FleetStats != fl.Stats() {
-		t.Fatal("Snapshot/Stats disagree before Serve")
-	}
+	// Before serving the snapshot must read zero.
 	if (fl.Snapshot().FleetStats != FleetStats{}) {
 		t.Fatalf("unserved fleet snapshot not zero: %+v", fl.Snapshot().FleetStats)
 	}
